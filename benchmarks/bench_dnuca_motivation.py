@@ -13,8 +13,8 @@ TD-NUCA on three contrasting benchmarks:
 * Kmeans — mixed.
 """
 
+from repro.api import Session
 from repro.config import scaled_config
-from repro.experiments.runner import run_experiment
 from repro.stats.report import format_table
 
 from .conftest import emit
@@ -28,7 +28,7 @@ def test_dnuca_vs_codesign(benchmark):
         out = {}
         for wl in BENCHES:
             out[wl] = {
-                pol: run_experiment(wl, pol, CFG)
+                pol: Session(CFG).run(wl, pol).experiment
                 for pol in ("snuca", "dnuca", "tdnuca")
             }
         return out

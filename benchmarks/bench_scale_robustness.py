@@ -7,8 +7,8 @@ qualitative claims — TD-NUCA wins, bypass cuts LLC accesses, data
 movement drops — hold at both.
 """
 
+from repro.api import Session
 from repro.config import scaled_config
-from repro.experiments.runner import run_experiment
 from repro.stats.report import format_table
 
 from .conftest import emit
@@ -24,7 +24,7 @@ def test_conclusions_hold_across_scales(benchmark):
             cfg = scaled_config(1.0 / denom)
             for wl in BENCHES:
                 out[(denom, wl)] = {
-                    pol: run_experiment(wl, pol, cfg)
+                    pol: Session(cfg).run(wl, pol).experiment
                     for pol in ("snuca", "tdnuca")
                 }
         return out

@@ -18,8 +18,8 @@ import os
 
 import pytest
 
+from repro.api import Session
 from repro.config import scaled_config
-from repro.experiments.runner import run_suite
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", 1.0 / 64.0))
 
@@ -30,7 +30,7 @@ ALL_POLICIES = ["snuca", "rnuca", "tdnuca", "tdnuca-bypass-only", "tdnuca-noisa"
 def suite():
     """Results of the full sweep, shared by every figure target."""
     cfg = scaled_config(BENCH_SCALE)
-    return run_suite(policies=ALL_POLICIES, cfg=cfg)
+    return Session(cfg).suite(policies=ALL_POLICIES)
 
 
 @pytest.fixture(scope="session")

@@ -44,9 +44,6 @@ Other entry points:
   :class:`repro.runtime.Executor` — build your own experiments.
 * ``python -m repro`` — the command-line interface (``run``, ``sweep``,
   ``figures``, ``trace``, ...).
-
-The pre-1.1 functional paths (``run_experiment`` / ``run_suite``) still
-work but emit :class:`DeprecationWarning` pointing at :class:`Session`.
 """
 
 from repro.api import RunResult, Session, run_scenario

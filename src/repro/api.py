@@ -1,8 +1,7 @@
 """The session facade: one documented entry point for running simulations.
 
-:class:`Session` unifies what used to take three imports
-(``run_experiment`` / ``run_suite`` / ``build_machine`` + ``Executor``)
-behind one object with keyword-only options::
+:class:`Session` puts single runs, suites, sweeps and traced runs behind
+one object with keyword-only options::
 
     from repro import Session
 
@@ -19,9 +18,6 @@ every statistic attribute) together with the run's
 :class:`~repro.obs.observer.Observer`, adding trace/timeline accessors and
 exporters.  ``Session.sweep`` fronts the crash-tolerant harness the same
 way and can write one Chrome trace per job.
-
-The old call paths (``run_experiment``/``run_suite``) keep working as thin
-deprecation shims over :func:`_run_one` / :meth:`Session.sweep`.
 """
 
 from __future__ import annotations
@@ -467,8 +463,8 @@ def _run_one(
 ) -> ExperimentResult:
     """Build the machine, run the benchmark, snapshot the statistics.
 
-    The functional core behind :meth:`Session.run` and the deprecated
-    ``run_experiment`` shim.  ``observer`` (when given) is attached to the
+    The functional core behind :meth:`Session.run` and the sweep
+    harness's default runner.  ``observer`` (when given) is attached to the
     machine and stamped with dispatch times by the executor.
 
     ``checkpoint`` (a :class:`~repro.snapshot.Checkpointer`) enables

@@ -177,7 +177,7 @@ class SystemConfig:
     def validate(self) -> None:
         """Raise ``ValueError`` on any nonsensical configuration — called by
         :func:`repro.sim.machine.build_machine` and
-        :func:`repro.experiments.runner.run_experiment` so bad configs fail
+        :class:`repro.api.Session` so bad configs fail
         with a clear message instead of a deep crash inside the machine."""
         if self.mesh_width <= 0 or self.mesh_height <= 0:
             raise ValueError(

@@ -5,12 +5,14 @@ serial double loop loses the whole campaign to one hung or crashed run.
 This module runs each :class:`Job` — one ``(workload, policy, seed)`` cell
 of a sweep — through a small job engine that provides:
 
-* **Process isolation** — each attempt runs in its own ``multiprocessing``
-  worker (spawn-safe: the worker entry point and all job arguments are
-  module-level picklables), so a segfault, ``os._exit``, or unbounded hang
-  in one run cannot take down the sweep.
+* **Process isolation** — each attempt runs in its own spawn child on
+  the service's supervisor (:class:`repro.service.workers.WorkerPool`;
+  the runner and all job arguments must be module-level picklables), so
+  a segfault, ``os._exit``, or unbounded hang in one run cannot take
+  down the sweep.  Checkpoint-aware attempts also hold the supervisor's
+  heartbeat lease: a worker silent past it is killed and retried.
 * **Per-job wall-clock timeouts** — a worker past its deadline is
-  terminated (then killed) and the attempt is recorded as timed out.
+  killed and the attempt is recorded as timed out.
 * **Bounded retries with exponential backoff** — transient failures
   (worker crashes, timeouts, I/O errors) are retried up to ``retries``
   times with ``backoff * 2**(attempt-1)`` seconds between attempts;
@@ -27,7 +29,7 @@ of a sweep — through a small job engine that provides:
 * **Graceful preemption** — SIGTERM/SIGINT (or an expired ``deadline``)
   makes every in-flight job write a mid-run simulation snapshot at its
   next task boundary (see :mod:`repro.snapshot`), records it as a
-  ``"preempted"`` shard pointing at ``run_dir/snapshots/``, terminates and
+  ``"preempted"`` shard pointing at ``run_dir/snapshots/``, kills and
   joins all workers, and writes the final manifest with sweep status
   ``"interrupted"``.  A later ``resume=True`` sweep restores each
   preempted job from its snapshot and continues it byte-identically; a
@@ -35,18 +37,18 @@ of a sweep — through a small job engine that provides:
   reruns from scratch.
 
 With ``workers=1`` and no timeout the engine degrades to an in-process
-serial loop (no subprocess overhead) that still retries and checkpoints —
-that is the mode :func:`repro.experiments.runner.run_suite` uses by
-default, so library callers pay nothing for the robustness they don't ask
-for.
+serial loop (no subprocess overhead, and :mod:`repro.service` is never
+imported) that still retries and checkpoints — that is the mode
+:meth:`repro.api.Session.suite` uses by default, so library callers pay
+nothing for the robustness they don't ask for.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
-import multiprocessing
 import os
 import signal
 import threading
@@ -54,16 +56,17 @@ import time
 import traceback
 from collections import deque
 from dataclasses import asdict, dataclass, field, is_dataclass
-from multiprocessing import connection
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
+from repro import failpoints
 from repro.experiments.serialize import (
     SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
     SchemaVersionError,
 )
 from repro.ioutils import atomic_write
+from repro.retry import PERMANENT_ERRORS, retry_delay
 from repro.snapshot import Checkpointer, PreemptedError, load_or_quarantine
 
 __all__ = [
@@ -81,8 +84,6 @@ __all__ = [
     "MANIFEST_NAME",
     "SHARD_DIR",
     "SNAPSHOT_DIR",
-    "CRASH_ENV",
-    "SLOW_ENV",
 ]
 
 MANIFEST_NAME = "manifest.json"
@@ -92,26 +93,6 @@ SNAPSHOT_DIR = "snapshots"
 #: grace period (seconds) a preempting sweep gives its workers to reach a
 #: task boundary and write their snapshots before they are killed.
 PREEMPT_GRACE = 10.0
-
-#: error classes retrying cannot fix: deterministic programming or
-#: configuration mistakes.  Everything else — worker crashes, timeouts,
-#: OS-level I/O hiccups — is treated as transient and retried.
-PERMANENT_ERRORS = (
-    ValueError,
-    TypeError,
-    KeyError,
-    AttributeError,
-    NotImplementedError,
-)
-
-#: deprecated chaos hook (now an alias for the ``harness.worker.crash``
-#: failpoint): set to a job label ("workload/policy") and every isolated
-#: worker for that job exits hard with status 99 before running.
-CRASH_ENV = "REPRO_HARNESS_CRASH"
-
-#: deprecated chaos hook (now an alias for the ``harness.worker.slow``
-#: failpoint): seconds every worker sleeps before running its job.
-SLOW_ENV = "REPRO_HARNESS_SLOW"
 
 
 @dataclass(frozen=True)
@@ -261,8 +242,8 @@ class SweepOutcome:
 
 
 class SweepFailure(RuntimeError):
-    """Raised by :func:`repro.experiments.runner.run_suite` when jobs
-    failed after retries (the CLI reports failures instead of raising)."""
+    """Raised by :meth:`repro.api.Session.suite` when jobs failed after
+    retries (the CLI reports failures instead of raising)."""
 
     def __init__(self, failures: Iterable[FailedRun]):
         self.failures = list(failures)
@@ -273,23 +254,6 @@ class SweepFailure(RuntimeError):
         if extra > 0:
             shown += f" and {extra} more"
         super().__init__(f"{len(self.failures)} sweep job(s) failed: {shown}")
-
-
-def retry_delay(
-    attempt: int, backoff: float, *, cap: float = 30.0, rng: Any = None
-) -> float:
-    """Seconds to wait before retrying after ``attempt`` failures.
-
-    Exponential (``backoff * 2**(attempt-1)``) capped at ``cap``; with an
-    ``rng`` (anything exposing ``random()``), full-jitter in the upper
-    half of the window so a thundering herd of retries decorrelates — the
-    service queue passes one, the sweep harness keeps its deterministic
-    schedule by passing none.
-    """
-    delay = min(cap, backoff * (2 ** (attempt - 1)))
-    if rng is None:
-        return delay
-    return delay * (0.5 + 0.5 * rng.random())
 
 
 def config_fingerprint(cfg: Any) -> str:
@@ -306,8 +270,6 @@ def config_fingerprint(cfg: Any) -> str:
 def _default_runner(
     job: Job, cfg: Any, *, checkpoint=None, resume_from=None
 ) -> Any:
-    # The facade's functional core, not the deprecated run_experiment shim,
-    # so library sweeps stay warning-free.
     from repro.api import _run_one
 
     return _run_one(
@@ -333,13 +295,15 @@ def _runner_supports_checkpoint(runner: Callable) -> bool:
     return "checkpoint" in params and "resume_from" in params
 
 
-def _build_checkpointer(ck_spec: dict[str, Any] | None) -> Checkpointer | None:
+def _build_checkpointer(
+    ck_spec: dict[str, Any] | None, make: Callable[..., Checkpointer] = Checkpointer
+) -> Checkpointer | None:
     if ck_spec is None:
         return None
     deadline = None
     if ck_spec.get("deadline_secs") is not None:
         deadline = time.monotonic() + max(0.0, ck_spec["deadline_secs"])
-    return Checkpointer(
+    return make(
         ck_spec["path"],
         every=ck_spec.get("every", 0),
         deadline=deadline,
@@ -361,73 +325,39 @@ def _checkpoint_kwargs(ck: Checkpointer | None, ck_spec: dict[str, Any] | None):
     return kwargs
 
 
-def _worker_main(conn_w, runner, job: Job, cfg: Any, ck_spec=None) -> None:
-    """Worker entry point (module-level so ``spawn`` can pickle it)."""
-    from repro import failpoints
+def _isolated_attempt(child: Any, payload: tuple) -> Any:
+    """Child side of one isolated sweep attempt (a ``WorkerPool`` target).
 
-    # Chaos site (the old CRASH_ENV hook feeds it as a deprecated alias):
-    # default action exits hard with status 99, emulating a native crash.
-    failpoints.fire("harness.worker.crash", job=job.label)
-    ck = _build_checkpointer(ck_spec)
-    if ck is not None:
-        # SIGTERM (forwarded by the parent on its own SIGTERM/SIGINT, or
-        # sent by a job scheduler) asks for checkpoint-then-exit at the
-        # next task boundary.  SIGINT is ignored: a terminal Ctrl-C hits
-        # the whole process group, and the parent coordinates it by
-        # forwarding SIGTERM — dying on the raw SIGINT would lose the
-        # snapshot.
-        try:
-            signal.signal(signal.SIGTERM, lambda signum, frame: ck.request_preempt())
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-        except ValueError:  # pragma: no cover - non-main-thread embedding
-            pass
-    # Chaos site (the old SLOW_ENV hook feeds it): sleep before running,
-    # so an interrupting signal reliably lands mid-flight.
-    failpoints.fire("harness.worker.slow", job=job.label)
-    try:
-        result = runner(job, cfg, **_checkpoint_kwargs(ck, ck_spec))
-        payload = ("ok", result)
-    except PreemptedError as exc:
-        payload = ("preempted", str(exc.path), exc.tasks_completed)
-    except BaseException as exc:  # report everything, incl. SystemExit
-        payload = (
-            "error",
-            type(exc).__name__,
-            str(exc),
-            traceback.format_exc(),
-            isinstance(exc, PERMANENT_ERRORS),
-        )
-    try:
-        conn_w.send(payload)
-    except Exception as exc:  # e.g. the result failed to pickle
-        try:
-            conn_w.send(
-                ("error", type(exc).__name__,
-                 f"result could not be sent to the parent: {exc}",
-                 traceback.format_exc(), True)
-            )
-        except Exception:
-            pass
-    finally:
-        conn_w.close()
+    The attempt's checkpointer also stamps the supervisor's heartbeat
+    lease; ``PreemptedError`` and job exceptions propagate to the
+    supervisor, which reports them to the parent with their traceback.
+    """
+    runner, job, cfg, ck_spec, attempt = payload
+    fctx = {"job": job.label, "attempt": attempt}
+    # Chaos site: default action exits hard with status 99, emulating a
+    # native crash.
+    failpoints.fire("harness.worker.crash", **fctx)
+    ck = _build_checkpointer(
+        ck_spec, functools.partial(child.checkpointer, fctx=fctx)
+    )
+    if ck is None:
+        # Nothing to snapshot: a preempting SIGTERM just ends the attempt
+        # and a resume reruns the job from scratch.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        if child.preempt_requested:
+            os.kill(os.getpid(), signal.SIGTERM)
+    # Chaos site: sleep before running, so an interrupting signal
+    # reliably lands mid-flight.
+    failpoints.fire("harness.worker.slow", **fctx)
+    return runner(job, cfg, **_checkpoint_kwargs(ck, ck_spec))
 
 
 @dataclass
 class _Pending:
     job: Job
     attempt: int = 1
-    ready_at: float = 0.0
     spent: float = 0.0  # wall time burned by earlier attempts
     resume_from: str | None = None  # snapshot of a previously preempted run
-
-
-@dataclass
-class _Running:
-    item: _Pending
-    proc: Any
-    recv: Any
-    started: float
-    deadline: float | None
 
 
 def run_sweep(
@@ -440,10 +370,8 @@ def run_sweep(
     backoff: float = 0.5,
     run_dir: str | Path | None = None,
     resume: bool = False,
-    isolated: bool | None = None,
     runner: Callable[[Job, Any], Any] | None = None,
     on_event: Callable[[str, Job, str], None] | None = None,
-    mp_context: str = "spawn",
     request: dict[str, Any] | None = None,
     checkpoint_every: int = 0,
     deadline: float | None = None,
@@ -451,10 +379,10 @@ def run_sweep(
 ) -> SweepOutcome:
     """Run a sweep plan; never raises for individual job failures.
 
-    ``isolated=None`` auto-selects: subprocess workers whenever ``workers >
-    1`` or a ``timeout`` is set, the in-process serial loop otherwise.
-    ``runner`` defaults to :func:`run_experiment` on ``cfg``; tests inject
-    module-level stubs (they must be picklable for spawn).  ``on_event``
+    Jobs run in supervised subprocess workers whenever ``workers > 1`` or
+    a ``timeout`` is set, in the in-process serial loop otherwise.
+    ``runner`` defaults to one ``Session``-equivalent run on ``cfg``; tests
+    inject module-level stubs (they must be picklable for spawn).  ``on_event``
     receives ``(kind, job, detail)`` progress callbacks with kinds
     ``start``/``ok``/``retry``/``failed``/``timeout``/``skipped``/
     ``resumed``/``preempted``/``interrupted``.  ``request`` is recorded verbatim in the
@@ -486,10 +414,7 @@ def run_sweep(
         raise ValueError("checkpoint_every must be >= 0")
     if deadline is not None and deadline <= 0:
         raise ValueError("deadline must be positive")
-    if isolated is None:
-        isolated = workers > 1 or timeout is not None
-    if timeout is not None and not isolated:
-        raise ValueError("per-job timeouts require isolated workers")
+    isolated = workers > 1 or timeout is not None
     if resume and run_dir is None:
         raise ValueError("resume requires the run directory of a prior sweep")
     run = runner if runner is not None else _default_runner
@@ -641,7 +566,7 @@ def run_sweep(
         if isolated:
             _run_isolated(
                 pending, cfg, run, workers, timeout, retries, backoff,
-                mp_context, complete, fail, emit,
+                complete, fail, emit,
                 stop=stop, deadline_at=deadline_at,
                 ck_spec_for=ck_spec_for, preempted=preempted_cb,
             )
@@ -750,176 +675,139 @@ def _run_isolated(
     timeout: float | None,
     retries: int,
     backoff: float,
-    mp_context: str,
     complete: Callable,
     fail: Callable,
     emit: Callable,
-    stop: threading.Event | None = None,
-    deadline_at: float | None = None,
-    ck_spec_for: Callable[[_Pending], dict | None] | None = None,
-    preempted: Callable | None = None,
+    stop: threading.Event,
+    deadline_at: float | None,
+    ck_spec_for: Callable[[_Pending], dict | None],
+    preempted: Callable,
 ) -> None:
-    """Parallel execution, one subprocess per attempt, deadline-enforced.
+    """Parallel execution: ``workers`` slot threads, each supervising one
+    spawn-isolated attempt at a time on a
+    :class:`~repro.service.workers.WorkerPool`.
 
-    When ``stop`` is set (signal) or ``deadline_at`` passes, the loop
-    drains: no new launches, SIGTERM to every worker so each checkpoints
-    at its next task boundary, a :data:`PREEMPT_GRACE` window to finish
-    writing, then SIGKILL for stragglers.  Every child is joined before
-    this function returns — an interrupted sweep leaves no orphans.
+    When ``stop`` is set (signal) or ``deadline_at`` passes, the sweep
+    drains: no new launches, every in-flight child is asked to checkpoint
+    at its next task boundary, and after :data:`PREEMPT_GRACE` the
+    stragglers are killed.  Every slot — so every child — is joined before
+    this function returns: an interrupted sweep leaves no orphans.
     """
-    ctx = multiprocessing.get_context(mp_context)
-    queue: deque[_Pending] = deque(pending)
-    running: dict[Any, _Running] = {}
-    draining = False
-    grace_deadline = 0.0
+    from repro.service.workers import WorkerDied, WorkerJobError, WorkerPool
 
-    def handle_failure(
-        item: _Pending, error: str, message: str, tb: str,
-        permanent: bool, timed_out: bool, spent: float,
-    ) -> None:
-        retryable = not permanent and item.attempt <= retries and not draining
-        if retryable:
-            delay = retry_delay(item.attempt, backoff)
-            queue.append(
-                _Pending(item.job, item.attempt + 1,
-                         time.monotonic() + delay, spent, item.resume_from)
-            )
-            emit("retry", item.job, f"attempt {item.attempt}: {error}")
-        else:
-            fail(item.job, error, message, tb, item.attempt, spent, timed_out)
+    pool = WorkerPool(workers)
+    todo = deque(pending)
+    lock = threading.Lock()
 
-    try:
-        while queue or running:
-            now = time.monotonic()
-            if (
-                deadline_at is not None
-                and stop is not None
-                and not stop.is_set()
-                and now >= deadline_at
-            ):
-                stop.set()
-            if stop is not None and stop.is_set() and not draining:
-                draining = True
-                grace_deadline = now + PREEMPT_GRACE
-                while queue:
-                    item = queue.popleft()
-                    emit("interrupted", item.job, "not started")
-                for r in running.values():
-                    if r.proc.is_alive():
-                        # Checkpoint-aware workers trap this and snapshot
-                        # at the next task boundary; others just exit.
-                        r.proc.terminate()
-            if draining and running and time.monotonic() >= grace_deadline:
-                for r in running.values():
-                    if r.proc.is_alive():
-                        r.proc.kill()
-            # Launch every ready pending job while a worker slot is free;
-            # items still backing off rotate to the back of the queue.
-            if not draining:
-                for _ in range(len(queue)):
-                    if len(running) >= workers:
-                        break
-                    item = queue.popleft()
-                    if item.ready_at > now:
-                        queue.append(item)
-                        continue
-                    recv, send = ctx.Pipe(duplex=False)
-                    ck_spec = ck_spec_for(item) if ck_spec_for is not None else None
-                    proc = ctx.Process(
-                        target=_worker_main,
-                        args=(send, runner, item.job, cfg, ck_spec),
-                        daemon=True,
-                    )
-                    proc.start()
-                    send.close()  # keep only the child's end open for EOF
-                    started = time.monotonic()
-                    running[proc.sentinel] = _Running(
-                        item, proc, recv, started,
-                        started + timeout if timeout is not None else None,
-                    )
-                    emit("start", item.job, f"attempt {item.attempt}")
+    def serialized(fn: Callable) -> Callable:
+        # Outcome and shard bookkeeping (and user callbacks) run one at a
+        # time, as if on a single thread.
+        def call(*args: Any) -> None:
+            with lock:
+                fn(*args)
+        return call
 
-            # Block until a child exits, a deadline passes, or a backoff
-            # window opens.
-            wait_for = 0.25
-            now = time.monotonic()
-            if running:
-                deadlines = [
-                    r.deadline for r in running.values() if r.deadline is not None
-                ]
-                if deadlines:
-                    wait_for = max(0.0, min(wait_for, min(deadlines) - now))
-                connection.wait(list(running), timeout=wait_for)
-            elif queue:
-                soonest = min(item.ready_at for item in queue)
-                if soonest > now:
-                    time.sleep(min(soonest - now, wait_for))
+    complete, fail, emit, preempted = map(
+        serialized, (complete, fail, emit, preempted)
+    )
 
-            # Reap exited children and enforce deadlines.
-            now = time.monotonic()
-            for sentinel, r in list(running.items()):
-                alive = r.proc.is_alive()
-                expired = r.deadline is not None and now >= r.deadline
-                if alive and not expired and not draining:
-                    continue
-                if alive and draining and now < grace_deadline:
-                    continue  # still inside the checkpoint grace window
-                del running[sentinel]
-                if alive:
-                    r.proc.terminate()
-                    r.proc.join(1.0)
-                    if r.proc.is_alive():
-                        r.proc.kill()
-                        r.proc.join(10.0)
-                msg = None
-                if r.recv.poll():
-                    try:
-                        msg = r.recv.recv()
-                    except (EOFError, OSError):
-                        msg = None
-                r.recv.close()
-                exitcode = r.proc.exitcode
-                spent = r.item.spent + (time.monotonic() - r.started)
-                if msg is not None and msg[0] == "ok":
-                    complete(r.item.job, msg[1], r.item.attempt, spent)
-                elif msg is not None and msg[0] == "preempted":
-                    if preempted is not None:
-                        preempted(r.item.job, msg[1], msg[2],
-                                  r.item.attempt, spent)
-                elif alive and not draining:  # killed: deadline exceeded
-                    handle_failure(
-                        r.item, "Timeout",
-                        f"worker exceeded the {timeout}s deadline", "",
-                        permanent=False, timed_out=True, spent=spent,
-                    )
-                elif msg is not None:
-                    _, error, message, tb, permanent = msg
-                    handle_failure(
-                        r.item, error, message, tb,
-                        permanent=permanent, timed_out=False, spent=spent,
-                    )
-                elif draining:
-                    # Terminated before reaching a checkpoint (or no
-                    # checkpoint support): no shard is written, so a
-                    # resume simply reruns the job from scratch.
-                    emit("interrupted", r.item.job,
+    def run_job(item: _Pending) -> None:
+        job, attempt, spent = item.job, item.attempt, item.spent
+        while not stop.is_set():
+            ck_spec = ck_spec_for(item)
+            emit("start", job, f"attempt {attempt}")
+            t0 = time.monotonic()
+            timed_out, permanent, tb = False, False, ""
+            try:
+                result = pool.run_attempt(
+                    Path(job.shard_name).stem, _isolated_attempt,
+                    (runner, job, cfg, ck_spec, attempt),
+                    kill_after=timeout, lease=ck_spec is not None,
+                )
+            except PreemptedError as exc:
+                preempted(job, str(exc.path), exc.tasks_completed, attempt,
+                          spent + time.monotonic() - t0)
+                return
+            except WorkerDied as died:
+                spent += time.monotonic() - t0
+                if stop.is_set():
+                    # Killed before reaching a checkpoint (or no checkpoint
+                    # support): no shard is written, so a resume simply
+                    # reruns the job from scratch.
+                    emit("interrupted", job,
                          "stopped before reaching a checkpoint")
-                else:  # died without a word: native crash, os._exit, signal
-                    handle_failure(
-                        r.item, "WorkerCrash",
-                        f"worker exited with code {exitcode} "
-                        "before reporting a result", "",
-                        permanent=False, timed_out=False, spent=spent,
-                    )
+                    return
+                if died.reason == "hard-timeout":
+                    error, timed_out = "Timeout", True
+                    message = f"worker exceeded the {timeout}s deadline"
+                elif died.reason == "crashed":
+                    error = "WorkerCrash"
+                    message = (f"worker exited with code {died.exitcode} "
+                               "before reporting a result")
+                else:  # lease expired: a hung worker counts as a dead one
+                    error, message = "WorkerCrash", str(died)
+            except WorkerJobError as exc:
+                spent += time.monotonic() - t0
+                error, message = exc.error_name, str(exc)
+                tb, permanent = exc.traceback, exc.permanent
+            else:
+                complete(job, result, attempt, spent + time.monotonic() - t0)
+                return
+            if permanent or attempt > retries or stop.is_set():
+                fail(job, error, message, tb, attempt, spent, timed_out)
+                return
+            emit("retry", job, f"attempt {attempt}: {error}")
+            stop.wait(retry_delay(attempt, backoff))
+            attempt += 1
+        emit("interrupted", job, "not started")
+
+    errors: list[BaseException] = []
+
+    def slot() -> None:
+        while not stop.is_set():
+            with lock:
+                if not todo:
+                    return
+                item = todo.popleft()
+            try:
+                run_job(item)
+            except BaseException as exc:  # e.g. an unpicklable runner
+                errors.append(exc)
+                stop.set()
+                return
+
+    threads = [
+        threading.Thread(target=slot, name=f"repro-sweep-slot-{i}", daemon=True)
+        for i in range(min(workers, len(todo)))
+    ]
+    for thread in threads:
+        thread.start()
+    grace_at = None
+    try:
+        while any(thread.is_alive() for thread in threads):
+            now = time.monotonic()
+            if deadline_at is not None and now >= deadline_at:
+                stop.set()
+            if stop.is_set():
+                # Re-request every tick: a slot may have spawned its
+                # attempt just as the stop landed.
+                pool.preempt_all()
+                if grace_at is None:
+                    grace_at = now + PREEMPT_GRACE
+                elif now >= grace_at:
+                    pool.kill_all()
+            time.sleep(0.05)
+    except BaseException:
+        stop.set()
+        pool.kill_all()
+        raise
     finally:
-        # Belt and braces: whatever path exits this loop, no child of the
-        # sweep survives it.
-        for r in running.values():
-            if r.proc.is_alive():
-                r.proc.kill()
-            r.recv.close()
-        for r in running.values():
-            r.proc.join(10.0)
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    for item in todo:
+        emit("interrupted", item.job, "not started")
 
 
 # --------------------------------------------------------------------------

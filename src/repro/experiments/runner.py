@@ -1,28 +1,23 @@
-"""Experiment result record and the deprecated functional entry points.
+"""Experiment result record.
 
 :class:`ExperimentResult` (every statistic one run produces) and
-:func:`build_runtime` live here; the run logic itself moved to
+:func:`build_runtime` live here; the run logic itself lives in
 :mod:`repro.api`, whose :class:`~repro.api.Session` facade is the
-documented way to run simulations.  :func:`run_experiment` and
-:func:`run_suite` remain as thin shims that emit a
-:class:`DeprecationWarning` and delegate, so existing scripts keep
-producing bit-identical results.
+documented way to run simulations.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.config import SystemConfig, scaled_config
 from repro.core.isa import ISAStats
 from repro.runtime.executor import ExecutionStats
 from repro.runtime.extensions import RuntimeExtension, TdNucaRuntime, TdNucaRuntimeStats
-from repro.runtime.scheduler import Scheduler
 from repro.sim.machine import Machine, MachineStats
 from repro.stats.counters import RNucaCensus
 
-__all__ = ["ExperimentResult", "run_experiment", "run_suite", "default_config"]
+__all__ = ["ExperimentResult", "default_config"]
 
 #: default scale for experiment sweeps: capacities and footprints at 1/64
 #: of Table I/II, preserving their ratios.
@@ -66,76 +61,3 @@ def build_runtime(machine: Machine, policy: str) -> RuntimeExtension:
     if policy == "tdnuca-noisa":
         return TdNucaRuntime(machine.mesh, machine.isa, execute_isa=False)
     return RuntimeExtension()
-
-
-def run_experiment(
-    workload: str,
-    policy: str,
-    cfg: SystemConfig | None = None,
-    *,
-    seed: int = 0,
-    rrt_lookup_cycles: int | None = None,
-    scheduler: Scheduler | None = None,
-    census: bool = True,
-) -> ExperimentResult:
-    """Deprecated: use :meth:`repro.api.Session.run` instead.
-
-    Build the machine, run the benchmark, snapshot the statistics.  This
-    shim delegates to the same internal path :class:`repro.api.Session`
-    uses, so results are bit-identical to the facade.
-    """
-    warnings.warn(
-        "run_experiment() is deprecated; use repro.Session(config).run("
-        "workload, policy) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import _run_one
-
-    return _run_one(
-        workload,
-        policy,
-        cfg,
-        seed=seed,
-        rrt_lookup_cycles=rrt_lookup_cycles,
-        scheduler=scheduler,
-        census=census,
-    )
-
-
-def run_suite(
-    workloads: list[str] | None = None,
-    policies: list[str] | None = None,
-    cfg: SystemConfig | None = None,
-    *,
-    seed: int = 0,
-    jobs: int = 1,
-    timeout: float | None = None,
-    retries: int = 0,
-    run_dir=None,
-) -> dict[tuple[str, str], ExperimentResult]:
-    """Deprecated: use :meth:`repro.api.Session.suite` instead.
-
-    Run every (workload, policy) pair; returns results keyed by pair,
-    raising :class:`repro.experiments.harness.SweepFailure` if any job
-    still fails after its retries.  This shim delegates to
-    :meth:`Session.suite`, which preserves the all-or-nothing, grid-ordered
-    semantics the figure builders rely on.
-    """
-    warnings.warn(
-        "run_suite() is deprecated; use repro.Session(config).suite("
-        "workloads, policies) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import Session
-
-    session = Session(cfg if cfg is not None else default_config(), seed=seed)
-    return session.suite(
-        workloads,
-        policies,
-        jobs=jobs,
-        timeout=timeout,
-        retries=retries,
-        run_dir=run_dir,
-    )

@@ -136,28 +136,15 @@ shared_trace_cache = TraceCache()
 
 
 def build_trace_cached(
-    task: Task,
-    amap: AddressMap,
-    cache: TraceCache | dict[tuple, TaskTrace] | None = None,
+    task: Task, amap: AddressMap, cache: TraceCache | None = None
 ) -> TaskTrace:
-    """Memoized :func:`build_trace`.
+    """Memoized :func:`build_trace` through ``cache`` (default: the
+    process-wide :data:`shared_trace_cache`).
 
-    With no ``cache`` (or a :class:`TraceCache`), the geometry-keyed
-    shared LRU is used.  A plain dict keeps the old per-caller behavior
-    (keyed by task signature alone — the caller owns one address map),
-    now with LRU eviction instead of clear-on-overflow.  Returned traces
-    are shared and must be treated as immutable, which every consumer
-    already does — translation and census read them, nothing writes.
+    Returned traces are shared and must be treated as immutable, which
+    every consumer already does — translation and census read them,
+    nothing writes.
     """
     if cache is None:
         cache = shared_trace_cache
-    if isinstance(cache, TraceCache):
-        return cache.get_or_build(task, amap)
-    sig = trace_signature(task)
-    trace = cache.pop(sig, None)
-    if trace is None:
-        if len(cache) >= _TRACE_CACHE_MAX:
-            del cache[next(iter(cache))]
-        trace = build_trace(task, amap)
-    cache[sig] = trace
-    return trace
+    return cache.get_or_build(task, amap)

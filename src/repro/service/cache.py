@@ -57,6 +57,12 @@ CACHE_VERSION = 1
 
 _HEADER = struct.Struct("<II")  # version, crc32(payload)
 
+#: the event counters a worker child reports back to the server's cache.
+_COUNTERS = (
+    "hits", "misses", "corrupt", "stores",
+    "fleet_hits", "fleet_stores", "fleet_fenced", "fleet_corrupt",
+)
+
 
 def request_key(cfg, workload: str, policy: str, seed: int) -> str:
     """The content address of one simulation request.
@@ -246,6 +252,19 @@ class ResultCache:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.rcache"))
+
+    def counters(self) -> dict[str, int]:
+        """The event counters (local and fleet tier) as one dict."""
+        with self._lock:
+            return {name: getattr(self, name) for name in _COUNTERS}
+
+    def add_counters(self, counts: dict[str, int]) -> None:
+        """Fold in counter deltas another process made against the same
+        directories — a worker child's lookups and stores."""
+        with self._lock:
+            for name, n in counts.items():
+                if name in _COUNTERS:
+                    setattr(self, name, getattr(self, name) + n)
 
     def stats(self) -> dict[str, int]:
         with self._lock:

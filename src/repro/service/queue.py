@@ -13,9 +13,9 @@ contract, piece by piece:
   :func:`~repro.service.cache.request_key`; duplicate submissions of an
   identical config perform exactly zero new simulation.
 * **Bounded retries with backoff + jitter** — transient failures re-run
-  the attempt after :func:`repro.experiments.harness.retry_delay`
+  the attempt after :func:`~repro.service.workers.retry_delay`
   (exponential, capped, jittered); permanent errors
-  (:data:`~repro.experiments.harness.PERMANENT_ERRORS`) fail immediately
+  (:data:`~repro.service.workers.PERMANENT_ERRORS`) fail immediately
   with a typed ``job-failed`` envelope.
 * **Wall-clock budgets and eviction** — every attempt runs under a
   :class:`~repro.snapshot.Checkpointer` deadline, so a job past its
@@ -60,8 +60,7 @@ In **fleet mode** (constructed with a
   every host, not just this one.
 
 Failure injection for all of the above goes through the deterministic
-failpoint registry (:mod:`repro.failpoints`); the old ad-hoc env hooks
-remain as deprecated aliases.
+failpoint registry (:mod:`repro.failpoints`).
 """
 
 from __future__ import annotations
@@ -78,16 +77,18 @@ from pathlib import Path
 from typing import Any
 
 from repro import failpoints
-from repro.experiments.harness import PERMANENT_ERRORS, retry_delay
 from repro.ioutils import atomic_write
 from repro.service.cache import ResultCache, request_key
 from repro.service.envelope import ServiceError
 from repro.service.fleet import FleetNode
 from repro.service.workers import (
     HARD_TIMEOUT_GRACE,
+    PERMANENT_ERRORS,
     WorkerDied,
     WorkerJobError,
     WorkerPool,
+    _run_cells,
+    retry_delay,
 )
 from repro.sim.machine import POLICIES
 from repro.snapshot import PreemptedError, SnapshotMismatchError
@@ -99,17 +100,7 @@ __all__ = [
     "JobQueue",
     "CircuitBreaker",
     "EventBuffer",
-    "SLOW_ENV",
-    "CRASH_ENV",
 ]
-
-#: deprecated chaos hook (now an alias for the ``queue.attempt.slow``
-#: failpoint): seconds every job attempt sleeps before simulating.
-SLOW_ENV = "REPRO_SERVICE_SLOW"
-
-#: deprecated chaos hook (now an alias for the ``queue.attempt.crash``
-#: failpoint): a job label whose worker process exits before running.
-CRASH_ENV = "REPRO_SERVICE_CRASH"
 
 #: job states.  ``preempted`` is terminal for this server instance but not
 #: for the work: the snapshot in the spool resumes it on resubmission.
@@ -507,10 +498,6 @@ class Job:
     events: EventBuffer = field(default_factory=EventBuffer)
     #: completed cell results carried across evictions/retries.
     partial: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: the in-flight attempt's preempt target — an
-    #: :class:`~repro.service.workers.AttemptHandle` (or anything with a
-    #: signal-safe ``request_preempt()``), set by the supervision thread.
-    current_ck: Any = None
 
     def to_dict(self) -> dict[str, Any]:
         """The job record served by status endpoints (result separate)."""
@@ -676,20 +663,14 @@ class JobQueue:
             self.workers,
             lease_timeout=self.lease_timeout,
             mem_limit_mb=self.worker_mem_mb,
-            spool=self.spool,
-            cache_dir=None if self.cache is None else self.cache.root,
-            checkpoint_every=self.checkpoint_every,
             degrade_after=self.degrade_after,
             degrade_window=self.degrade_window,
-            fleet_dir=None if self.fleet is None else self.fleet.root,
-            fleet_host=None if self.fleet is None else self.fleet.host_id,
         )
         self._tasks = [
             asyncio.create_task(self._worker_loop(), name=f"jobworker-{i}")
             for i in range(self.workers)
         ]
         if self.fleet is not None:
-            self.pool.on_fenced = self.fleet.note_fenced
             self.fleet.register()
             self._tasks.append(
                 asyncio.create_task(self._fleet_loop(), name="fleet-tick")
@@ -716,13 +697,9 @@ class JobQueue:
             # Re-request every iteration: a worker mid-attempt may create
             # its handle *after* drain started, and a requeued job's next
             # attempt gets a fresh handle too.
-            running = False
-            for job in self.jobs.values():
-                if job.state == "running":
-                    running = True
-                    ck = job.current_ck
-                    if ck is not None:
-                        ck.request_preempt()
+            if self.pool is not None:
+                self.pool.preempt_all()
+            running = any(j.state == "running" for j in self.jobs.values())
             if not running or time.monotonic() >= deadline:
                 break
             await asyncio.sleep(0.05)
@@ -1333,7 +1310,64 @@ class JobQueue:
         the asyncio side classifies all three.
         """
         assert self.pool is not None
-        self.pool.run_attempt(job, budget, on_simulated=self._note_simulated)
+        self.pool.run_attempt(
+            f"{job.id}-a{job.attempts}", _run_cells,
+            self._attempt_payload(job, budget),
+            kill_after=None if budget is None else budget + HARD_TIMEOUT_GRACE,
+            on_message=lambda msg: self._on_worker_message(job, msg),
+        )
 
-    def _note_simulated(self) -> None:
-        self.simulations_run += 1
+    def _attempt_payload(self, job: Job, budget: float | None) -> dict[str, Any]:
+        claim = job.fleet_claim
+        fleet = None
+        if self.fleet is not None and claim is not None:
+            # The child re-checks this (dir, key, epoch) fence right
+            # before every shared-store publish: once a peer reclaims the
+            # claim at a higher epoch, this attempt can no longer write.
+            fleet = {
+                "dir": str(self.fleet.root),
+                "host_id": self.fleet.host_id,
+                "job_key": claim.key,
+                "epoch": claim.epoch,
+            }
+        return {
+            "spec": job.spec,
+            "attempt": job.attempts,
+            "cells": [
+                (wl, pol) for wl, pol in job.spec.cells()
+                if f"{wl}/{pol}" not in job.partial
+            ],
+            "budget": budget,
+            "checkpoint_every": self.checkpoint_every,
+            "spool": str(self.spool),
+            "cache_dir": None if self.cache is None else str(self.cache.root),
+            "fleet": fleet,
+        }
+
+    def _on_worker_message(self, job: Job, msg: tuple) -> None:
+        """Apply one progress message from ``job``'s worker child."""
+        kind = msg[0]
+        if kind == "event":
+            job.events.append(msg[1])
+        elif kind == "snapshot_discarded":
+            job.events.append({"kind": "snapshot_discarded", "cell": msg[1]})
+        elif kind == "fleet_fenced":
+            job.events.append({"kind": "fleet_fenced", "cell": msg[1]})
+            if self.fleet is not None:
+                self.fleet.note_fenced()
+        elif kind == "cell_done":
+            _, cell, result, cache_hit, resumed, cache_counts = msg
+            job.partial[cell] = result
+            job.cells_done += 1
+            if cache_hit:
+                job.cache_hits += 1
+            else:
+                job.simulated += 1
+                self.simulations_run += 1
+            if resumed is not None:
+                job.resumed_from_task = max(job.resumed_from_task or 0, resumed)
+            if self.cache is not None:
+                self.cache.add_counters(cache_counts)
+            job.events.append(
+                {"kind": "cell_done", "cell": cell, "cache_hit": cache_hit}
+            )

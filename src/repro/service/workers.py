@@ -1,49 +1,52 @@
 """Supervised multi-process worker pool: crash isolation + heartbeat leases.
 
-The PR-6 queue executed every simulation on a ``ThreadPoolExecutor``
-inside the server process, so one segfaulting, OOM-ing, or runaway job
-took the whole service down with it.  This module moves each job attempt
-into a **spawn-isolated subprocess** supervised from the (still
-thread-based) attempt slot:
+The one place in the package that spawns and supervises a simulation
+child.  Two clients drive it: the service queue (one attempt of a job's
+remaining cells, :func:`_run_cells`) and the sweep harness's isolated
+mode (one attempt of one sweep cell).  Each passes a module-level
+*target*; the supervisor runs it in a fresh child and returns the value
+it produced, with the same failure model for both:
 
 * **Process-per-attempt** — a fresh ``spawn`` child per attempt: no
   inherited locks, no shared heap, and a crash costs exactly one attempt.
-  The child streams progress over a one-way pipe (``ready`` /
-  ``cell_done`` / ``event`` / terminal ``ok``/``preempted``/``error``)
-  and writes results/snapshots to the shared cache/spool directories —
-  both atomic, so a child dying mid-write leaves either the old bytes or
-  the new bytes, never a torn file the parent would trust.
+  The child streams progress over a one-way pipe (``ready``, any
+  target-defined progress messages, then a terminal
+  ``ok``/``preempted``/``error``) and writes results/snapshots to shared
+  directories — atomically, so a child dying mid-write leaves either the
+  old bytes or the new bytes, never a torn file the parent would trust.
 * **Heartbeat lease** — the child stamps a shared array at every
-  dispatch boundary (through a :class:`Checkpointer` subclass).  The
+  dispatch boundary (through :class:`_WorkerCheckpointer`).  The
   supervisor kills any child silent past ``lease_timeout``: a hung
   worker is indistinguishable from a dead one, and both become a
-  :class:`WorkerDied` the queue requeues under its retry budget.
-  Lease age is judged on ``time.monotonic()`` deltas (parent and child
-  share one host, so one monotonic clock) — an NTP step can slew the
-  wall clock by minutes without making a healthy worker look dead; the
-  wall-clock stamp rides along for diagnostics only.
-  Byte-identical resume comes for free: the retry attempt resumes from
-  the dead worker's last periodic snapshot in the spool (the PR-5
-  replay-journal guarantee).
+  :class:`WorkerDied` the caller retries under its budget.  Lease age is
+  judged on ``time.monotonic()`` deltas (parent and child share one
+  host, so one monotonic clock) — an NTP step can slew the wall clock by
+  minutes without making a healthy worker look dead; the wall-clock
+  stamp rides along for diagnostics only.  Targets that never build a
+  checkpointer never stamp, so they run with ``lease=False`` and only
+  the ``kill_after`` deadline supervises them.
+* **Hard deadline** — ``kill_after`` seconds after spawn the child is
+  SIGKILLed and the attempt raises ``WorkerDied("hard-timeout")``.
 * **Memory rlimit** — ``mem_limit_mb`` applies ``RLIMIT_AS`` in the
   child, so a leaking simulation gets ``MemoryError`` (a classified,
   retryable failure) instead of inviting the host OOM killer to shoot
-  the server.
+  the parent.
 * **Ready gating** — the spawn bootstrap imports the whole package
   before the child installs its SIGTERM handler.  The supervisor never
   forwards a preempt signal until the child reports ``ready``, so a
   drain can't kill a child mid-import and lose the checkpoint the drain
   exists to write.
 * **Orphan reaping** — the child arms ``PR_SET_PDEATHSIG`` (SIGTERM on
-  parent death), so ``kill -9`` of the server stops its children at the
-  next task boundary instead of leaving orphans racing the restarted
-  server for the spool.
+  parent death), so ``kill -9`` of the parent stops its children at the
+  next task boundary instead of leaving orphans racing a restarted
+  parent for the spool.
 
 The queue layers poison quarantine and graceful concurrency degradation
-on top (see :mod:`repro.service.queue`); failure *injection* for all of
-it lives in :mod:`repro.failpoints` (sites ``worker.crash``,
-``worker.hang``, ``worker.oom``, ``worker.start.crash`` fire inside the
-child at deterministic task boundaries).
+on top (see :mod:`repro.service.queue`); the harness layers shards and
+its manifest (see :mod:`repro.experiments.harness`).  Failure
+*injection* lives in :mod:`repro.failpoints` (sites ``worker.crash``,
+``worker.hang``, ``worker.oom`` fire inside the child at deterministic
+task boundaries).
 """
 
 from __future__ import annotations
@@ -53,17 +56,23 @@ import os
 import signal
 import threading
 import time
+import traceback
 from pathlib import Path
 from typing import Any, Callable
 
 from repro import failpoints
+from repro.retry import PERMANENT_ERRORS, retry_delay
 from repro.snapshot import Checkpointer, PreemptedError
 
 __all__ = [
+    "DEFAULT_LEASE_TIMEOUT",
     "HARD_TIMEOUT_GRACE",
+    "PERMANENT_ERRORS",
+    "retry_delay",
     "WorkerDied",
     "WorkerJobError",
     "AttemptHandle",
+    "WorkerChild",
     "WorkerPool",
 ]
 
@@ -71,13 +80,17 @@ __all__ = [
 #: waiting for a checkpoint and kills the (presumed wedged) worker.
 HARD_TIMEOUT_GRACE = 30.0
 
-#: how long a worker may go without a heartbeat before its lease expires.
+#: how long a worker may go without a heartbeat before its lease expires
+#: (read when a :class:`WorkerPool` is built without ``lease_timeout``).
 DEFAULT_LEASE_TIMEOUT = 30.0
 
 #: heartbeat array slots: lease decisions read the monotonic stamp; the
 #: wall stamp exists only so humans can line logs up against it.
 _HB_MONO = 0
 _HB_WALL = 1
+
+#: terminal child messages; everything else is progress.
+_TERMINAL = ("ok", "preempted", "error")
 
 
 def _stamp(hb: Any) -> None:
@@ -87,13 +100,13 @@ def _stamp(hb: Any) -> None:
 
 
 class WorkerDied(Exception):
-    """A worker process died (or was killed) without settling its job.
+    """A worker process died (or was killed) without settling its attempt.
 
     ``reason`` is one of ``"crashed"`` (exited without a terminal
     message), ``"lease-expired"`` (heartbeat went silent), or
-    ``"hard-timeout"`` (never reached a task boundary in the grace
-    window).  ``exitcode`` is the raw ``Process.exitcode`` (negative =
-    killed by that signal); ``term_signal`` extracts the signal number.
+    ``"hard-timeout"`` (still running at ``kill_after``).  ``exitcode``
+    is the raw ``Process.exitcode`` (negative = killed by that signal);
+    ``term_signal`` extracts the signal number.
     """
 
     def __init__(
@@ -119,27 +132,25 @@ class WorkerDied(Exception):
 
 
 class WorkerJobError(Exception):
-    """The job itself failed inside the worker (the worker survived).
+    """The target itself raised inside the worker (the worker survived).
 
-    Re-raised in the supervisor with the child-side exception's name and
-    permanence classification attached, so the queue's retry logic treats
-    it exactly as it treated in-process exceptions.
+    Re-raised in the supervisor with the child-side exception's name,
+    formatted traceback and permanence classification attached, so
+    callers retry it exactly as they would an in-process exception.
     """
 
-    def __init__(self, error_name: str, message: str, permanent: bool) -> None:
+    def __init__(
+        self, error_name: str, message: str, permanent: bool,
+        traceback: str = "",
+    ) -> None:
         super().__init__(message)
         self.error_name = error_name
         self.permanent = permanent
+        self.traceback = traceback
 
 
 class AttemptHandle:
-    """The supervisor's view of one in-flight child attempt.
-
-    Duck-types the one :class:`Checkpointer` method the queue's drain
-    loop uses (:meth:`request_preempt`), so ``job.current_ck`` keeps
-    working unchanged: a preempt request is forwarded to the child as
-    SIGTERM once it reports ready.
-    """
+    """The supervisor's view of one in-flight child attempt."""
 
     def __init__(self, proc: multiprocessing.process.BaseProcess, hb: Any) -> None:
         self.proc = proc
@@ -178,17 +189,13 @@ class WorkerPool:
         self,
         workers: int,
         *,
-        lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
+        lease_timeout: float | None = None,
         mem_limit_mb: int | None = None,
-        spool: str | Path,
-        cache_dir: str | Path | None = None,
-        checkpoint_every: int = 0,
         degrade_after: int = 2,
         degrade_window: float = 60.0,
-        mp_context: str = "spawn",
-        fleet_dir: str | Path | None = None,
-        fleet_host: str | None = None,
     ) -> None:
+        if lease_timeout is None:
+            lease_timeout = DEFAULT_LEASE_TIMEOUT
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if lease_timeout <= 0:
@@ -198,17 +205,8 @@ class WorkerPool:
         self.workers = workers
         self.lease_timeout = lease_timeout
         self.mem_limit_mb = mem_limit_mb
-        self.spool = str(spool)
-        self.cache_dir = None if cache_dir is None else str(cache_dir)
-        self.checkpoint_every = checkpoint_every
         self.degrade_after = degrade_after
         self.degrade_window = degrade_window
-        self._mp_context = mp_context
-        self.fleet_dir = None if fleet_dir is None else str(fleet_dir)
-        self.fleet_host = fleet_host
-        #: wired to FleetNode.note_fenced by the server in fleet mode, so
-        #: a child's fence loss shows up in the /v1/health gauges.
-        self.on_fenced: Callable[[], None] | None = None
         #: current admission width; sheds toward 1 under repeated worker
         #: deaths, recovers toward ``workers`` on healthy completions.
         self.concurrency = workers
@@ -222,57 +220,80 @@ class WorkerPool:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # supervision (runs in the queue's attempt-slot thread, blocking)
+    # supervision (runs in the caller's attempt-slot thread, blocking)
     # ------------------------------------------------------------------
 
     def run_attempt(
         self,
-        job: Any,
-        budget: float | None,
-        on_simulated: Callable[[], None] | None = None,
-    ) -> None:
-        """Run one attempt of ``job`` in a fresh child; block until settled.
+        key: str,
+        target: Callable[["WorkerChild", Any], Any],
+        payload: Any,
+        *,
+        kill_after: float | None = None,
+        lease: bool = True,
+        on_message: Callable[[tuple], None] | None = None,
+    ) -> Any:
+        """Run ``target(child, payload)`` in a fresh child; block until settled.
 
-        Mirrors the old in-thread attempt's contract: returns on success
-        (``job.partial``/counters updated from ``cell_done`` messages),
-        raises :class:`PreemptedError` on checkpoint-and-stop,
-        :class:`WorkerJobError` for child-side job failures, and
-        :class:`WorkerDied` when the child vanished or lost its lease.
+        ``target`` must be module-level and ``payload`` picklable (spawn
+        pickles both).  ``key`` names the attempt among the in-flight
+        ones.  Returns what the target returned; raises
+        :class:`PreemptedError` on checkpoint-and-stop,
+        :class:`WorkerJobError` when the target raised, and
+        :class:`WorkerDied` when the child vanished, lost its lease
+        (only with ``lease=True``) or outlived ``kill_after`` seconds.
+        Progress messages are handed to ``on_message`` as they arrive.
         """
-        ctx = multiprocessing.get_context(self._mp_context)
+        ctx = multiprocessing.get_context("spawn")
         recv, send = ctx.Pipe(duplex=False)
         # [monotonic, wall]: CLOCK_MONOTONIC is per-boot, so parent and
         # child (same host by construction) read the same timeline.
         hb = ctx.Array("d", [time.monotonic(), time.time()], lock=False)
-        payload = self._payload(job, budget)
+        setup = {
+            "parent_pid": os.getpid(),
+            "mem_limit_mb": self.mem_limit_mb,
+            "failpoints": failpoints.active_spec(),
+        }
         proc = ctx.Process(
-            target=_attempt_main, args=(send, hb, payload),
-            name=f"repro-worker-{job.id}-a{job.attempts}", daemon=True,
+            target=_attempt_main, args=(send, hb, setup, target, payload),
+            name=f"repro-worker-{key}", daemon=True,
         )
         handle = AttemptHandle(proc, hb)
         with self._lock:
             self.spawned += 1
-            self._attempts[job.id] = handle
-        job.current_ck = handle
-        proc.start()
+            self._attempts[key] = handle
+        try:
+            proc.start()  # pickles target and payload
+        except BaseException:
+            with self._lock:
+                self._attempts.pop(key, None)
+            recv.close()
+            send.close()
+            raise
         send.close()  # child holds the only write end: EOF tracks its death
         start = time.monotonic()
-        hard_deadline = (
-            None if budget is None else start + budget + HARD_TIMEOUT_GRACE
-        )
+        hard_deadline = None if kill_after is None else start + kill_after
         terminal: tuple | None = None
+
+        def take(msg: tuple) -> tuple | None:
+            if msg[0] in _TERMINAL:
+                return msg
+            if msg[0] == "ready":
+                handle.ready = True
+            elif on_message is not None:
+                on_message(msg)
+            return None
+
         try:
             while terminal is None:
                 if handle.preempt_requested and handle.ready and not handle.signalled:
                     handle.signalled = True
                     _soft_kill(proc)
-                got = recv.poll(0.05)
-                if got:
+                if recv.poll(0.05):
                     try:
-                        msg = recv.recv()
+                        terminal = take(recv.recv())
                     except (EOFError, OSError):
                         break
-                    terminal = self._handle_message(job, handle, msg, on_simulated)
                     continue
                 age = handle.heartbeat_age()
                 if hard_deadline is not None and time.monotonic() >= hard_deadline:
@@ -280,7 +301,7 @@ class WorkerPool:
                     raise WorkerDied(
                         "hard-timeout", exitcode=proc.exitcode, heartbeat_age=age
                     )
-                if age > self.lease_timeout:
+                if lease and age > self.lease_timeout:
                     with self._lock:
                         self.lease_expired += 1
                     _hard_kill(proc)
@@ -288,15 +309,11 @@ class WorkerPool:
                         "lease-expired", exitcode=proc.exitcode, heartbeat_age=age
                     )
                 if not proc.is_alive():
-                    while recv.poll(0):  # drain what the child flushed dying
+                    while terminal is None and recv.poll(0):
+                        # drain what the child flushed dying
                         try:
-                            msg = recv.recv()
+                            terminal = take(recv.recv())
                         except (EOFError, OSError):
-                            break
-                        terminal = self._handle_message(
-                            job, handle, msg, on_simulated
-                        )
-                        if terminal is not None:
                             break
                     break
             if terminal is None:
@@ -307,99 +324,28 @@ class WorkerPool:
                     heartbeat_age=handle.heartbeat_age(),
                 )
         finally:
-            job.current_ck = None
             with self._lock:
-                self._attempts.pop(job.id, None)
+                self._attempts.pop(key, None)
             if proc.is_alive():
                 _hard_kill(proc)
             proc.join(timeout=5.0)
             recv.close()
         kind = terminal[0]
-        if kind == "ok":
-            with self._lock:
-                self.completions += 1
-            return
         if kind == "preempted":
             raise PreemptedError(Path(terminal[1]), terminal[2])
         if kind == "error":
-            raise WorkerJobError(terminal[1], terminal[2], terminal[3])
-        raise WorkerDied(  # unknown terminal: treat as protocol corruption
-            "crashed", exitcode=proc.exitcode, heartbeat_age=handle.heartbeat_age()
-        )
+            raise WorkerJobError(*terminal[1:])
+        with self._lock:
+            self.completions += 1
+        return terminal[1]
 
-    def _payload(self, job: Any, budget: float | None) -> dict[str, Any]:
-        done = set(job.partial)
-        remaining = [
-            [wl, pol] for wl, pol in job.spec.cells()
-            if f"{wl}/{pol}" not in done
-        ]
-        claim = getattr(job, "fleet_claim", None)
-        fleet = None
-        if self.fleet_dir is not None and claim is not None:
-            # The child re-checks this (dir, key, epoch) fence right
-            # before every shared-store publish: once a peer reclaims the
-            # claim at a higher epoch, this attempt can no longer write.
-            fleet = {
-                "dir": self.fleet_dir,
-                "host_id": self.fleet_host,
-                "job_key": claim.key,
-                "epoch": claim.epoch,
-            }
-        return {
-            "spec": job.spec.to_dict(),
-            "label": job.spec.label,
-            "attempt": job.attempts,
-            "cells": remaining,
-            "budget": budget,
-            "checkpoint_every": self.checkpoint_every,
-            "spool": self.spool,
-            "cache_dir": self.cache_dir,
-            "mem_limit_mb": self.mem_limit_mb,
-            "parent_pid": os.getpid(),
-            "failpoints": failpoints.active_spec(),
-            "fleet": fleet,
-        }
-
-    def _handle_message(
-        self,
-        job: Any,
-        handle: AttemptHandle,
-        msg: tuple,
-        on_simulated: Callable[[], None] | None,
-    ) -> tuple | None:
-        """Apply one child message to the job record; return terminal msgs."""
-        kind = msg[0]
-        if kind == "ready":
-            handle.ready = True
-            return None
-        if kind == "event":
-            job.events.append(msg[1])
-            return None
-        if kind == "snapshot_discarded":
-            job.events.append({"kind": "snapshot_discarded", "cell": msg[1]})
-            return None
-        if kind == "fleet_fenced":
-            job.events.append({"kind": "fleet_fenced", "cell": msg[1]})
-            if self.on_fenced is not None:
-                self.on_fenced()
-            return None
-        if kind == "cell_done":
-            _, cell, result, cache_hit, resumed = msg
-            job.partial[cell] = result
-            job.cells_done += 1
-            if cache_hit:
-                job.cache_hits += 1
-            else:
-                job.simulated += 1
-                if on_simulated is not None:
-                    on_simulated()
-            if resumed is not None:
-                job.resumed_from_task = max(job.resumed_from_task or 0, resumed)
-            job.events.append(
-                {"kind": "cell_done", "cell": cell, "cache_hit": cache_hit}
-            )
-            return None
-        return msg  # ok / preempted / error settle the attempt
+    def preempt_all(self) -> None:
+        """Ask every in-flight child to checkpoint and stop at its next
+        task boundary (forwarded as SIGTERM once it reports ready)."""
+        with self._lock:
+            handles = list(self._attempts.values())
+        for handle in handles:
+            handle.request_preempt()
 
     # ------------------------------------------------------------------
     # health accounting
@@ -493,9 +439,9 @@ def _hard_kill(proc: multiprocessing.process.BaseProcess) -> None:
 
 
 def _set_pdeathsig() -> None:
-    """Arm PR_SET_PDEATHSIG=SIGTERM (Linux): if the server is kill -9'd,
+    """Arm PR_SET_PDEATHSIG=SIGTERM (Linux): if the parent is kill -9'd,
     the child checkpoints at its next boundary instead of racing the
-    restarted server for the spool as an orphan.  Best-effort elsewhere."""
+    restarted parent for the spool as an orphan.  Best-effort elsewhere."""
     try:
         import ctypes
 
@@ -505,114 +451,105 @@ def _set_pdeathsig() -> None:
         pass
 
 
-def _safe_send(conn: Any, msg: tuple) -> None:
-    """Send, swallowing a vanished parent — the child finishes its atomic
-    cache/spool writes either way, and those are what resume reads."""
-    try:
-        conn.send(msg)
-    except (BrokenPipeError, OSError):
-        pass
+class WorkerChild:
+    """A target's side of its attempt: progress pipe, lease, preemption.
+
+    SIGTERM (a forwarded preempt request, or the parent dying) sets
+    :attr:`preempt_requested` and preempts the checkpointer built by
+    :meth:`checkpointer`, if any; one built after the signal starts out
+    preempted.
+    """
+
+    def __init__(self, conn: Any, hb: Any) -> None:
+        self.conn = conn
+        self.hb = hb
+        self.preempt_requested = False
+        #: the live checkpointer; targets clear it between runs.
+        self.ck: Checkpointer | None = None
+
+    def send(self, msg: tuple) -> None:
+        """Send, swallowing a vanished parent — the child finishes its
+        atomic cache/spool writes either way, and those are what resume
+        reads."""
+        try:
+            self.conn.send(msg)
+        except (BrokenPipeError, OSError):
+            pass
+
+    def checkpointer(self, path: Any, *, fctx: dict[str, Any],
+                     **kwargs: Any) -> "_WorkerCheckpointer":
+        """A checkpointer that also stamps this attempt's heartbeat lease
+        and fires the ``worker.*`` failpoints (context ``fctx``)."""
+        ck = _WorkerCheckpointer(path, hb=self.hb, fctx=fctx, **kwargs)
+        self.ck = ck
+        if self.preempt_requested:  # SIGTERM landed before this run
+            ck.request_preempt()
+        return ck
+
+    def _on_term(self, signum: int, frame: Any) -> None:
+        self.preempt_requested = True
+        if self.ck is not None:
+            self.ck.request_preempt()
 
 
-def _attempt_main(conn: Any, hb: Any, payload: dict[str, Any]) -> None:
-    """Child entry point: run the attempt's remaining cells, stream progress.
+def _attempt_main(
+    conn: Any, hb: Any, setup: dict[str, Any],
+    target: Callable[[WorkerChild, Any], Any], payload: Any,
+) -> None:
+    """Child entry point: contain, get ready, run the target, report.
 
     Ordering here is the crash-safety contract: pdeathsig + rlimit first
     (so even an early wreck is contained), then signal handlers, then the
     ``ready`` message — only after which the parent will forward SIGTERM.
     """
     _set_pdeathsig()
-    parent = payload.get("parent_pid")
+    parent = setup.get("parent_pid")
     if parent and os.getppid() != parent:
         os._exit(98)  # orphaned during spawn: nobody is listening
-    if payload.get("mem_limit_mb"):
+    if setup.get("mem_limit_mb"):
         try:
             import resource
 
-            limit = int(payload["mem_limit_mb"]) << 20
+            limit = int(setup["mem_limit_mb"]) << 20
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         except (ImportError, ValueError, OSError):
             pass
-    if payload.get("failpoints"):
-        spec, seed = payload["failpoints"]
+    if setup.get("failpoints"):
+        spec, seed = setup["failpoints"]
         failpoints.configure(spec, seed)
 
-    # The current cell's checkpointer, shared with the SIGTERM handler.
-    holder: dict[str, Any] = {"ck": None, "preempt": False}
-
-    def _on_term(signum: int, frame: Any) -> None:
-        holder["preempt"] = True
-        ck = holder["ck"]
-        if ck is not None:
-            ck.request_preempt()
-
-    signal.signal(signal.SIGTERM, _on_term)
+    child = WorkerChild(conn, hb)
+    signal.signal(signal.SIGTERM, child._on_term)
+    # A terminal Ctrl-C hits the whole process group; the parent
+    # coordinates it by forwarding SIGTERM, so the raw SIGINT is ignored.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _stamp(hb)
-    _safe_send(conn, ("ready",))
-    fctx = {"job": payload["label"], "attempt": payload["attempt"]}
+    child.send(("ready",))
     try:
-        failpoints.fire("worker.start.crash", **fctx)
-        failpoints.fire("queue.attempt.slow", **fctx)
-        failpoints.fire("queue.attempt.crash", **fctx)
-        _run_cells(conn, hb, holder, payload, fctx)
+        value = target(child, payload)
     except PreemptedError as exc:
-        _safe_send(conn, ("preempted", str(exc.path), exc.tasks_completed))
+        child.send(("preempted", str(exc.path), exc.tasks_completed))
         conn.close()
         os._exit(75)  # EX_TEMPFAIL, same as the server's drain exit
     except BaseException as exc:  # noqa: BLE001 - classified by the parent
-        from repro.experiments.harness import PERMANENT_ERRORS
-
-        _safe_send(
-            conn,
-            ("error", type(exc).__name__, str(exc),
-             isinstance(exc, PERMANENT_ERRORS)),
+        child.send(
+            ("error", type(exc).__name__, str(exc), isinstance(exc, PERMANENT_ERRORS),
+             traceback.format_exc())
         )
         conn.close()
         os._exit(1)
-    _safe_send(conn, ("ok",))
+    try:
+        conn.send(("ok", value))
+    except (BrokenPipeError, OSError):
+        pass
+    except Exception as exc:  # noqa: BLE001 - the value failed to pickle
+        child.send(
+            ("error", type(exc).__name__,
+             f"result could not be sent to the parent: {exc}", True,
+             traceback.format_exc())
+        )
     conn.close()
     os._exit(0)
-
-
-def _run_cells(
-    conn: Any, hb: Any, holder: dict[str, Any], payload: dict[str, Any],
-    fctx: dict[str, Any],
-) -> None:
-    # Heavy imports happen here, after ready: the budget deadline below is
-    # computed after them, so a short time slice buys simulation, not
-    # interpreter startup.
-    from repro.service.cache import ResultCache, request_key
-    from repro.service.queue import spec_from_dict
-
-    spec = spec_from_dict(payload["spec"])
-    cfg = spec.config()
-    fleet = payload.get("fleet")
-    cache = (
-        ResultCache(
-            payload["cache_dir"],
-            fleet_dir=(
-                Path(fleet["dir"]) / "results" if fleet is not None else None
-            ),
-        )
-        if payload.get("cache_dir") else None
-    )
-    spool = Path(payload["spool"])
-    budget = payload["budget"]
-    deadline = time.monotonic() + budget if budget is not None else None
-    for wl, pol in payload["cells"]:
-        cell = f"{wl}/{pol}"
-        _stamp(hb)
-        key = request_key(cfg, wl, pol, spec.seed)
-        cached = cache.get(key) if cache is not None else None
-        if cached is not None:
-            _safe_send(conn, ("cell_done", cell, cached, True, None))
-            continue
-        result, resumed = _simulate(
-            conn, hb, holder, payload, fctx, cfg, spec, wl, pol, key,
-            spool, cache, deadline,
-        )
-        _safe_send(conn, ("cell_done", cell, result, False, resumed))
 
 
 class _WorkerCheckpointer(Checkpointer):
@@ -639,10 +576,74 @@ class _WorkerCheckpointer(Checkpointer):
         super().after_dispatch(executor, name, duration)
 
 
+# ---------------------------------------------------------------------------
+# the service's target
+# ---------------------------------------------------------------------------
+
+
+def _run_cells(child: WorkerChild, payload: dict[str, Any]) -> None:
+    """Run one service job attempt's remaining cells, streaming progress.
+
+    Besides ``event``/``snapshot_discarded``/``fleet_fenced`` notices, every
+    finished cell is reported as ``("cell_done", cell, result, cache_hit,
+    resumed_from_task, cache_counts)`` — the last being the deltas of this
+    child's :class:`~repro.service.cache.ResultCache` counters, which the
+    server folds into its own so ``/v1/health`` sees the lookups and stores
+    made here.
+    """
+    spec = payload["spec"]
+    fctx = {"job": spec.label, "attempt": payload["attempt"]}
+    failpoints.fire("worker.start.crash", **fctx)
+    failpoints.fire("queue.attempt.slow", **fctx)
+    failpoints.fire("queue.attempt.crash", **fctx)
+    # Heavy imports happen here, after ready: the budget deadline below is
+    # computed after them, so a short time slice buys simulation, not
+    # interpreter startup.
+    from repro.service.cache import ResultCache, request_key
+
+    cfg = spec.config()
+    fleet = payload.get("fleet")
+    cache = (
+        ResultCache(
+            payload["cache_dir"],
+            fleet_dir=(
+                Path(fleet["dir"]) / "results" if fleet is not None else None
+            ),
+        )
+        if payload.get("cache_dir") else None
+    )
+    reported: dict[str, int] = {}
+
+    def cache_counts() -> dict[str, int]:
+        if cache is None:
+            return {}
+        now = cache.counters()
+        delta = {k: v - reported.get(k, 0) for k, v in now.items()}
+        reported.update(now)
+        return {k: v for k, v in delta.items() if v}
+
+    spool = Path(payload["spool"])
+    budget = payload["budget"]
+    deadline = time.monotonic() + budget if budget is not None else None
+    for wl, pol in payload["cells"]:
+        cell = f"{wl}/{pol}"
+        _stamp(child.hb)
+        key = request_key(cfg, wl, pol, spec.seed)
+        cached = cache.get(key) if cache is not None else None
+        if cached is not None:
+            child.send(("cell_done", cell, cached, True, None, cache_counts()))
+            continue
+        result, resumed = _simulate(
+            child, payload, fctx, cfg, spec, wl, pol, key, spool, cache,
+            deadline,
+        )
+        child.send(("cell_done", cell, result, False, resumed, cache_counts()))
+
+
 def _simulate(
-    conn: Any, hb: Any, holder: dict[str, Any], payload: dict[str, Any],
-    fctx: dict[str, Any], cfg: Any, spec: Any, wl: str, pol: str, key: str,
-    spool: Path, cache: Any, deadline: float | None,
+    child: WorkerChild, payload: dict[str, Any], fctx: dict[str, Any],
+    cfg: Any, spec: Any, wl: str, pol: str, key: str, spool: Path,
+    cache: Any, deadline: float | None,
 ) -> tuple[dict[str, Any], int | None]:
     from repro.api import Session
     from repro.obs.observer import Observer
@@ -652,18 +653,14 @@ def _simulate(
     snap_path = spool / f"{key}.snap"
 
     def make_ck() -> _WorkerCheckpointer:
-        ck = _WorkerCheckpointer(
+        return child.checkpointer(
             snap_path, every=payload["checkpoint_every"], deadline=deadline,
-            hb=hb, fctx=fctx,
+            fctx=fctx,
         )
-        holder["ck"] = ck
-        if holder["preempt"]:  # SIGTERM landed before this cell started
-            ck.request_preempt()
-        return ck
 
     def make_observer() -> Any:
         return Observer(
-            sink=CallbackSink(lambda evt: _safe_send(conn, ("event", evt))),
+            sink=CallbackSink(lambda evt: child.send(("event", evt))),
             timeline=False,
         )
 
@@ -686,12 +683,12 @@ def _simulate(
             os.replace(snap_path, str(snap_path) + ".corrupt")
         except OSError:
             pass
-        _safe_send(conn, ("snapshot_discarded", f"{wl}/{pol}"))
+        child.send(("snapshot_discarded", f"{wl}/{pol}"))
         ck = make_ck()
         session = Session(cfg, seed=spec.seed)
         rr = session.run(wl, pol, trace=make_observer(), checkpoint=ck)
     finally:
-        holder["ck"] = None
+        child.ck = None
     result = rr.stats_dict()
     resumed = rr.experiment.extra.get("resumed_from_task")
     if cache is not None:
@@ -719,7 +716,7 @@ def _simulate(
         if cache.fleet_fenced > fenced_before:
             # Fenced: a peer owns this job now.  Leave the shared spool
             # snapshot alone — it is the new owner's resume point.
-            _safe_send(conn, ("fleet_fenced", f"{wl}/{pol}"))
+            child.send(("fleet_fenced", f"{wl}/{pol}"))
             return result, resumed
     try:
         snap_path.unlink()

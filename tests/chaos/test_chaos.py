@@ -92,6 +92,7 @@ def test_kill9_mid_job_is_byte_identical_on_every_golden_case(
         seed=case.seed,
         scale=GOLDEN_SERVICE_SCALE,
         faults=case.fault_spec,
+        mesh=case.mesh,
     )
     (job,) = submit_and_settle(queue, [spec])
 

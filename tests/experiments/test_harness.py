@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.harness import (
-    CRASH_ENV,
     CompletedRun,
     FailedRun,
     Job,
@@ -122,10 +121,6 @@ class TestInline:
         with pytest.raises(ValueError):
             run_sweep([Job("a", "p")], runner=ok_runner, retries=-1)
         with pytest.raises(ValueError):
-            run_sweep(
-                [Job("a", "p")], runner=ok_runner, timeout=5, isolated=False
-            )
-        with pytest.raises(ValueError):
             run_sweep([Job("a", "p")], runner=ok_runner, resume=True)
 
 
@@ -167,8 +162,19 @@ class TestIsolated:
         assert "deterministic config error" in rec.message
         assert "permanent_runner" in rec.traceback
 
+    def test_unpicklable_runner_raises_and_leaves_no_children(self):
+        import multiprocessing
+        import pickle
+
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            run_sweep(
+                [Job("a", "p"), Job("b", "p")],
+                runner=lambda job, cfg: None, workers=2,
+            )
+        assert multiprocessing.active_children() == []
+
     def test_crash_env_hook(self, monkeypatch):
-        monkeypatch.setenv(CRASH_ENV, "a/p")
+        monkeypatch.setenv("REPRO_FAILPOINTS", "harness.worker.crash=*@job:a/p")
         outcome = run_sweep(
             [Job("a", "p"), Job("b", "p")], runner=ok_runner,
             workers=2, retries=0,
@@ -176,6 +182,28 @@ class TestIsolated:
         assert outcome.failed == 1
         assert outcome.failures[0].workload == "a"
         assert outcome.failures[0].error == "WorkerCrash"
+
+
+class TestImportBoundary:
+    def test_inline_sweep_never_loads_the_service(self):
+        """``import repro`` and an inline sweep stay clear of
+        ``repro.service`` (the supervisor is imported only by isolated
+        sweeps)."""
+        code = (
+            "import sys\n"
+            "import repro\n"
+            "out = repro.Session(scale=1 / 256).sweep(\n"
+            "    ['gauss'], ['tdnuca'], jobs=1)\n"
+            "assert out.ok == 1, out.failures\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.service')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCheckpointResume:
@@ -355,8 +383,10 @@ class TestAtomicWrite:
 
 
 class TestRunSuiteDelegation:
+    """``Session.suite`` runs through the harness and raises on failure."""
+
     def test_failure_raises_sweep_failure(self, monkeypatch):
-        from repro.experiments.runner import run_suite
+        from repro.api import Session
 
         def explode(workload, policy, cfg=None, **kw):
             raise RuntimeError("sim blew up")
@@ -366,12 +396,12 @@ class TestRunSuiteDelegation:
             lambda job, cfg: explode(job.workload, job.policy, cfg),
         )
         with pytest.raises(SweepFailure) as info:
-            run_suite(["md5"], ["snuca"])
+            Session().suite(["md5"], ["snuca"])
         assert info.value.failures[0].error == "RuntimeError"
 
     def test_real_suite_through_harness(self):
+        from repro.api import Session
         from repro.config import scaled_config
-        from repro.experiments.runner import run_suite
 
-        res = run_suite(["md5"], ["snuca"], scaled_config(1 / 2048))
+        res = Session(scaled_config(1 / 2048)).suite(["md5"], ["snuca"])
         assert res[("md5", "snuca")].makespan > 0

@@ -19,7 +19,6 @@ import pytest
 
 from repro.config import scaled_config
 from repro.experiments.harness import (
-    SLOW_ENV,
     SNAPSHOT_DIR,
     Job,
     load_manifest,
@@ -115,6 +114,36 @@ class TestPreemptResume:
             assert run.result_dict() == reference[(run.workload, run.policy)]
 
 
+class TestHeartbeatLease:
+    def test_hung_worker_loses_lease_and_retry_is_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker that stops heartbeating mid-run is killed when its
+        lease expires; the retry reproduces the uninjected results."""
+        reference = _reference_results()
+        monkeypatch.setattr("repro.service.workers.DEFAULT_LEASE_TIMEOUT", 2.0)
+        monkeypatch.setenv(
+            "REPRO_FAILPOINTS", "worker.hang=1@attempt:1@task_ge:20@param:60"
+        )
+        events = []
+        t0 = time.monotonic()
+        outcome = run_sweep(
+            JOBS, _cfg(), run_dir=tmp_path / "run", workers=2, retries=1,
+            backoff=0, on_event=lambda kind, job, detail: events.append(
+                (kind, job.label, detail)
+            ),
+        )
+        assert time.monotonic() - t0 < 50  # nowhere near the 60 s hang
+        assert outcome.ok == len(JOBS) and not outcome.failures
+        assert all(run.attempts == 2 for run in outcome.completed)
+        retries = [e for e in events if e[0] == "retry"]
+        assert len(retries) == len(JOBS)
+        assert all("WorkerCrash" in detail for _, _, detail in retries)
+        for run in outcome.completed:
+            assert run.result_dict() == reference[(run.workload, run.policy)]
+        assert multiprocessing.active_children() == []
+
+
 class TestSignalHygiene:
     def test_sigterm_drains_workers_and_leaves_no_orphans(
         self, tmp_path, monkeypatch
@@ -122,7 +151,8 @@ class TestSignalHygiene:
         """SIGTERM mid-sweep: every worker is joined (no orphan children),
         the outcome reports interrupted, and a later resume completes all
         jobs correctly."""
-        monkeypatch.setenv(SLOW_ENV, "8")  # hold workers mid-flight
+        # hold workers mid-flight
+        monkeypatch.setenv("REPRO_FAILPOINTS", "harness.worker.slow=*@param:8")
         run_dir = tmp_path / "run"
         timer = threading.Timer(
             3.0, lambda: signal.raise_signal(signal.SIGTERM)
@@ -143,7 +173,7 @@ class TestSignalHygiene:
         assert time.monotonic() - t0 < 60
         assert load_manifest(run_dir)["sweep_status"] == "interrupted"
 
-        monkeypatch.delenv(SLOW_ENV)
+        monkeypatch.delenv("REPRO_FAILPOINTS")
         resumed = run_sweep(
             JOBS, _cfg(), run_dir=run_dir, resume=True, workers=2
         )

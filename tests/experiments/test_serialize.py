@@ -4,9 +4,9 @@ import json
 
 import pytest
 
+from repro.api import Session
 from repro.config import scaled_config
 from repro.experiments import figures
-from repro.experiments.runner import run_experiment
 from repro.experiments.serialize import (
     SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
@@ -26,7 +26,7 @@ CFG = scaled_config(1 / 1024)
 @pytest.fixture(scope="module")
 def results():
     return {
-        ("md5", pol): run_experiment("md5", pol, CFG)
+        ("md5", pol): Session(CFG).run("md5", pol).experiment
         for pol in ("snuca", "rnuca", "tdnuca")
     }
 
@@ -173,7 +173,6 @@ class TestSchemaVersions:
         assert loaded.runs[("md5", "tdnuca")]["resumed_from_task"] == 7
 
     def test_v3_trace_sections_round_trip(self, results):
-        from repro.api import Session
         from repro.config import scaled_config
 
         r = Session(scaled_config(1 / 1024)).run("md5", "tdnuca", trace=True)

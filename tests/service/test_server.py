@@ -139,6 +139,19 @@ class TestRunLifecycle:
         assert health["queue"]["simulations_run"] == 1
         assert health["cache"]["hits"] >= 1
 
+    def test_health_counts_worker_cache_misses_and_stores(self, served):
+        """Cold-run lookups and stores happen in the worker child; the
+        server folds them into its /v1/health cache counters."""
+        client = ServiceClient(port=served.port)
+        job = client.submit_run(workload="md5", policy="snuca", scale=SCALE)
+        client.wait(job["id"])
+        cold = client.health()["cache"]
+        assert cold["misses"] >= 1
+        assert cold["stores"] == 1
+        dup = client.submit_run(workload="md5", policy="snuca", scale=SCALE)
+        assert dup["state"] == "done"
+        assert client.health()["cache"]["hits"] == cold["hits"] + 1
+
     def test_result_before_done_is_404(self, served):
         client = ServiceClient(port=served.port, retries=0)
         job = client.submit_run(workload="knn", policy="snuca", scale=SCALE)

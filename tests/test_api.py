@@ -1,4 +1,4 @@
-"""The repro.api session facade and the deprecation shims over it."""
+"""The repro.api session facade."""
 
 import warnings
 
@@ -7,12 +7,7 @@ import pytest
 import repro
 from repro.api import RunResult, Session
 from repro.config import scaled_config
-from repro.experiments.runner import (
-    ExperimentResult,
-    run_experiment,
-    run_suite,
-)
-from repro.experiments.serialize import result_to_dict
+from repro.experiments.runner import ExperimentResult
 
 CFG = scaled_config(1 / 1024)
 
@@ -72,34 +67,7 @@ class TestSessionRun:
 
 
 class TestDeprecationShims:
-    def test_run_experiment_warns_exactly_once_per_call(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = run_experiment("md5", "snuca", CFG)
-        deps = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deps) == 1
-        assert "Session" in str(deps[0].message)
-        assert isinstance(result, ExperimentResult)
-
-    def test_shim_results_identical_to_facade(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_shim = run_experiment("md5", "tdnuca", CFG, seed=4)
-        via_facade = Session(CFG).run("md5", "tdnuca", seed=4)
-        assert result_to_dict(via_shim) == result_to_dict(via_facade.experiment)
-
-    def test_run_suite_warns_and_matches_suite(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            via_shim = run_suite(["md5"], ["snuca", "tdnuca"], CFG)
-        deps = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deps) == 1 and "Session" in str(deps[0].message)
-        via_facade = Session(CFG).suite(["md5"], ["snuca", "tdnuca"])
-        assert list(via_shim) == list(via_facade)  # grid order preserved
-        for key, shim_result in via_shim.items():
-            assert result_to_dict(shim_result) == result_to_dict(
-                via_facade[key]
-            )
+    """The retired shims' replacement paths stay warning-free."""
 
     def test_facade_path_emits_no_warnings(self):
         with warnings.catch_warnings():

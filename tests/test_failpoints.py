@@ -1,4 +1,4 @@
-"""The deterministic failpoint framework: parsing, firing, aliases.
+"""The deterministic failpoint framework: parsing, firing, environment.
 
 These are tier-1 tests of the framework itself — cheap, no simulation.
 The chaos suite (``tests/chaos/``, ``pytest -m chaos``) drives the same
@@ -19,12 +19,20 @@ from repro.failpoints import (
     parse_spec,
 )
 
+#: one-off chaos variables that predate REPRO_FAILPOINTS; now inert.
+RETIRED_ALIASES = (
+    "REPRO_HARNESS_CRASH",
+    "REPRO_HARNESS_SLOW",
+    "REPRO_SERVICE_SLOW",
+    "REPRO_SERVICE_CRASH",
+)
+
 
 @pytest.fixture(autouse=True)
 def _clean_registry(monkeypatch):
     """Every test starts from an inactive, env-free registry."""
     for var in (failpoints.FAILPOINTS_ENV, failpoints.FAILPOINTS_SEED_ENV,
-                *failpoints.LEGACY_ALIASES):
+                *RETIRED_ALIASES):
         monkeypatch.delenv(var, raising=False)
     failpoints.reset()
     yield
@@ -178,38 +186,18 @@ class TestModuleState:
 
 
 class TestLegacyAliases:
-    def test_harness_crash_env_translates_with_warning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HARNESS_CRASH", "lu/tdnuca")
-        with pytest.warns(DeprecationWarning, match="REPRO_HARNESS_CRASH"):
-            fp = failpoints.get()
-        rules = fp._by_site["harness.worker.crash"]
-        assert rules[0].filters == {"job": "lu/tdnuca"}
-        assert rules[0].action == "exit"  # preserves the old os._exit(99)
-        # Warned once per reset, not on every get().
-        import warnings as _w
-        with _w.catch_warnings(record=True) as seen:
-            _w.simplefilter("always")
-            failpoints.get()
-        assert not seen
-
-    def test_service_slow_env_translates_to_sleep_param(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_SLOW", "0.05")
-        with pytest.warns(DeprecationWarning, match="REPRO_SERVICE_SLOW"):
-            t0 = time.monotonic()
-            assert failpoints.fire("queue.attempt.slow", job="x/y")
-        assert time.monotonic() - t0 >= 0.04
+    """The retired one-off variables inject nothing; only the spec does."""
 
     def test_zero_valued_slow_env_stays_inert(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_SLOW", "0")
         assert not failpoints.get().active
 
-    def test_alias_combines_with_explicit_spec(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_CRASH", "a/b")
+    def test_retired_variables_are_ignored(self, monkeypatch):
+        for var in RETIRED_ALIASES:
+            monkeypatch.setenv(var, "lu/tdnuca" if "CRASH" in var else "5")
+        assert not failpoints.get().active
         monkeypatch.setenv(failpoints.FAILPOINTS_ENV, "worker.hang=1@param:0")
-        with pytest.warns(DeprecationWarning):
-            fp = failpoints.get()
-        assert "queue.attempt.crash" in fp._by_site
-        assert "worker.hang" in fp._by_site
+        assert set(failpoints.get()._by_site) == {"worker.hang"}
 
 
 class TestDataPathIntegration:

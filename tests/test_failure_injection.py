@@ -10,8 +10,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import Session
 from repro.config import scaled_config
-from repro.experiments.runner import run_experiment
 
 CFG = scaled_config(1 / 2048)
 
@@ -19,38 +19,38 @@ CFG = scaled_config(1 / 2048)
 class TestStarvedRRT:
     def test_one_entry_rrt_still_completes(self):
         cfg = replace(CFG, rrt_entries=1)
-        r = run_experiment("lu", "tdnuca", cfg)
+        r = Session(cfg).run("lu", "tdnuca").experiment
         assert r.execution.tasks_executed > 0
         assert r.runtime.occupancy_max <= 1
 
     def test_starved_rrt_converges_to_snuca_distance(self):
         """With (almost) nothing tracked, TD-NUCA behaves like S-NUCA."""
-        starved = run_experiment("lu", "tdnuca", replace(CFG, rrt_entries=1))
-        snuca = run_experiment("lu", "snuca", CFG)
+        starved = Session(replace(CFG, rrt_entries=1)).run("lu", "tdnuca").experiment
+        snuca = Session(CFG).run("lu", "snuca").experiment
         assert (
             abs(starved.machine.mean_nuca_distance - snuca.machine.mean_nuca_distance)
             < 0.8
         )
 
     def test_work_identical_regardless_of_capacity(self):
-        small = run_experiment("kmeans", "tdnuca", replace(CFG, rrt_entries=2))
-        large = run_experiment("kmeans", "tdnuca", CFG)
+        small = Session(replace(CFG, rrt_entries=2)).run("kmeans", "tdnuca").experiment
+        large = Session(CFG).run("kmeans", "tdnuca").experiment
         assert small.machine.l1.accesses == large.machine.l1.accesses
 
 
 class TestStarvedTLB:
     def test_tiny_tlb_completes_with_low_hit_ratio(self):
         cfg = replace(CFG, tlb_entries=2)
-        r = run_experiment("jacobi", "tdnuca", cfg)
+        r = Session(cfg).run("jacobi", "tdnuca").experiment
         assert r.execution.tasks_executed > 0
-        full = run_experiment("jacobi", "tdnuca", CFG)
+        full = Session(CFG).run("jacobi", "tdnuca").experiment
         assert r.machine.tlb.hit_ratio <= full.machine.tlb.hit_ratio
 
 
 class TestFragmentedPhysicalMemory:
     def test_full_fragmentation_completes(self):
-        r = run_experiment("md5", "tdnuca", CFG, seed=3)
-        frag = run_experiment("md5", "tdnuca", CFG, seed=3)
+        r = Session(CFG).run("md5", "tdnuca", seed=3).experiment
+        frag = Session(CFG).run("md5", "tdnuca", seed=3).experiment
         assert frag.execution.tasks_executed == r.execution.tasks_executed
 
     def test_fragmentation_costs_rrt_entries_not_correctness(self):
@@ -72,20 +72,20 @@ class TestFragmentedPhysicalMemory:
 class TestDegenerateCaches:
     def test_minimal_l1(self):
         cfg = replace(CFG, l1_bytes=2048, l1_assoc=8)
-        r = run_experiment("md5", "tdnuca", cfg)
+        r = Session(cfg).run("md5", "tdnuca").experiment
         assert r.execution.tasks_executed == 128
 
     def test_minimal_llc_banks(self):
         cfg = replace(CFG, llc_bank_bytes=16 * 1024)
         for pol in ("snuca", "rnuca", "tdnuca"):
-            r = run_experiment("kmeans", pol, cfg)
+            r = Session(cfg).run("kmeans", pol).experiment
             assert r.execution.tasks_executed > 0
 
 
 class TestZeroNondepTraffic:
     def test_runs_without_scratch(self):
         cfg = replace(CFG, nondep_blocks_per_task=0)
-        r = run_experiment("md5", "tdnuca", cfg)
+        r = Session(cfg).run("md5", "tdnuca").experiment
         assert r.execution.tasks_executed == 128
         # Without scratch, essentially everything bypasses.
         assert r.machine.llc_accesses < 300
@@ -100,7 +100,7 @@ class TestZeroNondepTraffic:
 
 def _faulted(workload, policy, spec, seed=0):
     cfg = replace(CFG, fault_spec=spec, strict_invariants=True)
-    return run_experiment(workload, policy, cfg, seed=seed)
+    return Session(cfg).run(workload, policy, seed=seed).experiment
 
 
 class TestBankFailure:
@@ -108,7 +108,7 @@ class TestBankFailure:
     def test_midrun_bank_death_preserves_work(self, policy):
         """Every policy completes with the exact same L1 access count and
         a clean invariant report when a bank dies mid-run."""
-        healthy = run_experiment("lu", policy, CFG)
+        healthy = Session(CFG).run("lu", policy).experiment
         faulted = _faulted("lu", policy, "bank:5@task=20")
         assert faulted.execution.tasks_executed == healthy.execution.tasks_executed
         assert faulted.machine.l1.accesses == healthy.machine.l1.accesses
@@ -118,7 +118,7 @@ class TestBankFailure:
 
     @pytest.mark.parametrize("bank", [0, 7, 15])
     def test_any_single_bank_position(self, bank):
-        healthy = run_experiment("kmeans", "tdnuca", CFG)
+        healthy = Session(CFG).run("kmeans", "tdnuca").experiment
         faulted = _faulted("kmeans", "tdnuca", f"bank:{bank}@task=10")
         assert faulted.machine.l1.accesses == healthy.machine.l1.accesses
         assert faulted.machine.extra["invariants"]["violations"] == 0
@@ -127,7 +127,7 @@ class TestBankFailure:
         from repro.workloads.registry import workload_names
 
         for wl in workload_names():
-            healthy = run_experiment(wl, "tdnuca", CFG)
+            healthy = Session(CFG).run(wl, "tdnuca").experiment
             faulted = _faulted(wl, "tdnuca", "bank:3@task=5")
             assert faulted.machine.l1.accesses == healthy.machine.l1.accesses, wl
             assert faulted.machine.extra["invariants"]["violations"] == 0, wl
@@ -142,7 +142,7 @@ class TestBankFailure:
 class TestLinkFailure:
     @pytest.mark.parametrize("spec", ["link:1-2@task=10", "link:10-14@task=0"])
     def test_single_link_death_preserves_work(self, spec):
-        healthy = run_experiment("jacobi", "tdnuca", CFG)
+        healthy = Session(CFG).run("jacobi", "tdnuca").experiment
         faulted = _faulted("jacobi", "tdnuca", spec)
         assert faulted.execution.tasks_executed == healthy.execution.tasks_executed
         assert faulted.machine.l1.accesses == healthy.machine.l1.accesses
@@ -153,7 +153,7 @@ class TestLinkFailure:
 
 class TestDramTransientErrors:
     def test_errors_slow_the_run_but_change_no_work(self):
-        healthy = run_experiment("md5", "snuca", CFG, seed=4)
+        healthy = Session(CFG).run("md5", "snuca", seed=4).experiment
         faulted = _faulted("md5", "snuca", "dram:transient:p=0.01", seed=4)
         assert faulted.machine.l1.accesses == healthy.machine.l1.accesses
         assert faulted.machine.faults.dram_transient_errors > 0
@@ -185,10 +185,10 @@ class TestFaultDeterminism:
 class TestStrictModeFaultFree:
     @pytest.mark.parametrize("policy", ["snuca", "tdnuca"])
     def test_fault_free_strict_run_is_clean_and_identical(self, policy):
-        plain = run_experiment("kmeans", policy, CFG, seed=0)
-        strict = run_experiment(
-            "kmeans", policy, replace(CFG, strict_invariants=True), seed=0
-        )
+        plain = Session(CFG).run("kmeans", policy, seed=0).experiment
+        strict = Session(replace(CFG, strict_invariants=True)).run(
+            "kmeans", policy, seed=0
+        ).experiment
         inv = strict.machine.extra["invariants"]
         assert inv["violations"] == 0
         assert inv["checks_run"] > 0 and inv["full_sweeps"] >= 1
